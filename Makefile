@@ -58,10 +58,9 @@ bench:
 	$(GO) run ./cmd/litebench -all
 
 # bench-smoke regenerates the machine-readable perf feed from a fast
-# experiment subset (sub-second each, except scale — the 500-node run
-# deliberately includes the expensive pre-PR baseline for its speedup
-# gate — and the three 500-node stressors churn/incast/rebalance,
-# which run twice each for their built-in replay check).
+# experiment subset (sub-second each, except the four 500-node
+# experiments scale/churn/incast/rebalance, which run twice each for
+# their built-in replay check and record events per CPU second).
 bench-smoke:
 	$(GO) run ./cmd/litebench -metrics -json BENCH_litebench.json trace breakdown tput tail saturate fairness lease drain tenants scale churn incast rebalance crossover
 

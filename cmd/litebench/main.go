@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -32,7 +33,7 @@ func main() {
 	flag.Parse()
 
 	if *comparePath != "" {
-		os.Exit(compareReport(*comparePath))
+		os.Exit(compareReport(*comparePath, os.Stdout, os.Stderr))
 	}
 	if *list {
 		for _, e := range bench.All() {
@@ -109,29 +110,32 @@ const compareEPSBand = 0.25
 // compareReport re-runs every experiment recorded in the committed
 // report and compares the virtual durations — the bench guard that
 // catches accidental performance regressions (or unrecorded
-// improvements) in the simulated timeline. Returns a process exit
-// code.
-func compareReport(path string) int {
+// improvements) in the simulated timeline. An entry that recorded a
+// failure fails the guard without re-running. Progress goes to out,
+// failures to errOut. Returns a process exit code.
+func compareReport(path string, out, errOut io.Writer) int {
 	rep, err := bench.ReadJSON(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench-guard: %v\n", err)
+		fmt.Fprintf(errOut, "bench-guard: %v\n", err)
 		return 1
 	}
 	code := 0
 	for _, r := range rep.Results {
 		if r.Error != "" {
+			fmt.Fprintf(errOut, "bench-guard: %s: the committed feed records a failure: %s\n", r.ID, r.Error)
+			code = 1
 			continue
 		}
 		tab, err := bench.Run(r.ID)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: %v\n", r.ID, err)
+			fmt.Fprintf(errOut, "bench-guard: %s: %v\n", r.ID, err)
 			code = 1
 			continue
 		}
 		got := int64(tab.Virtual)
 		drift := float64(got-r.VirtualNs) / float64(r.VirtualNs)
 		if drift < -compareTolerance || drift > compareTolerance {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: virtual time drifted %+.2f%%: committed %dns, fresh run %dns (re-run 'make bench-smoke' if the change is intentional)\n",
+			fmt.Fprintf(errOut, "bench-guard: %s: virtual time drifted %+.2f%%: committed %dns, fresh run %dns (re-run 'make bench-smoke' if the change is intentional)\n",
 				r.ID, drift*100, r.VirtualNs, got)
 			code = 1
 			continue
@@ -140,7 +144,7 @@ func compareReport(path string) int {
 		// deterministic scheduler), so any difference is a behavioral
 		// change, not noise.
 		if r.Events > 0 && tab.Events != r.Events {
-			fmt.Fprintf(os.Stderr, "bench-guard: %s: event count changed: committed %d, fresh run %d (re-run 'make bench-smoke' if the change is intentional)\n",
+			fmt.Fprintf(errOut, "bench-guard: %s: event count changed: committed %d, fresh run %d (re-run 'make bench-smoke' if the change is intentional)\n",
 				r.ID, r.Events, tab.Events)
 			code = 1
 			continue
@@ -153,17 +157,17 @@ func compareReport(path string) int {
 		if r.EventsPerSec > 0 && tab.EventsPerSec > 0 {
 			rel := tab.EventsPerSec / r.EventsPerSec
 			if rel < 1-compareEPSBand {
-				fmt.Fprintf(os.Stderr, "bench-guard: %s: events/sec regressed to %.0f, committed %.0f (%.0f%% of committed, floor is %.0f%%)\n",
+				fmt.Fprintf(errOut, "bench-guard: %s: events/sec regressed to %.0f, committed %.0f (%.0f%% of committed, floor is %.0f%%)\n",
 					r.ID, tab.EventsPerSec, r.EventsPerSec, rel*100, (1-compareEPSBand)*100)
 				code = 1
 				continue
 			}
 			if rel > 1+compareEPSBand {
-				fmt.Printf("bench-guard: %s: note: events/sec is %.0f, %.2fx the committed %.0f — consider refreshing the feed\n",
+				fmt.Fprintf(out, "bench-guard: %s: note: events/sec is %.0f, %.2fx the committed %.0f — consider refreshing the feed\n",
 					r.ID, tab.EventsPerSec, rel, r.EventsPerSec)
 			}
 		}
-		fmt.Printf("bench-guard: %-10s ok (%dns, %+.2f%%)\n", r.ID, got, drift*100)
+		fmt.Fprintf(out, "bench-guard: %-10s ok (%dns, %+.2f%%)\n", r.ID, got, drift*100)
 	}
 	return code
 }

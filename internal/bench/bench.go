@@ -37,11 +37,11 @@ type Table struct {
 	// every cluster the experiment built (filled by Run). Deterministic
 	// for a given workload, like Virtual.
 	Events int64
-	// EventsPerSec is the simulator's raw wall-time speed measured by
-	// the experiment itself (events dispatched per host second). Only
-	// experiments that measure it set it (see scalebench.go); unlike
-	// every other figure it is host-dependent, so the bench guard
-	// compares it with a tolerance band rather than exactly.
+	// EventsPerSec is the simulator's host speed measured by the
+	// experiment itself (events dispatched per CPU second). The 500-node
+	// experiments set it (see scalebench.go); unlike every other figure
+	// it is host-dependent, so the bench guard compares it with a
+	// tolerance band rather than exactly.
 	EventsPerSec float64
 }
 

@@ -275,18 +275,15 @@ func runChurnOnce() (*churnOutcome, error) {
 }
 
 func runChurn() (*Table, error) {
-	a, err := runChurnOnce()
+	a, b, eps, err := runTwice("churn", runChurnOnce, func(o *churnOutcome) int64 { return o.events })
 	if err != nil {
-		return nil, fmt.Errorf("churn: %w", err)
-	}
-	b, err := runChurnOnce()
-	if err != nil {
-		return nil, fmt.Errorf("churn: rerun: %w", err)
+		return nil, err
 	}
 	tab := &Table{
-		ID:     "churn",
-		Title:  "Churn storm: a 25-host leaf dies and revives at one instant under 225 clients",
-		Header: []string{"metric", "value"},
+		ID:           "churn",
+		Title:        "Churn storm: a 25-host leaf dies and revives at one instant under 225 clients",
+		Header:       []string{"metric", "value"},
+		EventsPerSec: eps,
 	}
 	row := func(k, v string) { tab.AddRow(k, v) }
 	row("ops_ok", fmt.Sprintf("%d", a.opsOK))

@@ -136,18 +136,15 @@ func runIncastOnce() (*incastOutcome, error) {
 }
 
 func runIncast() (*Table, error) {
-	a, err := runIncastOnce()
+	a, b, eps, err := runTwice("incast", runIncastOnce, func(o *incastOutcome) int64 { return o.events })
 	if err != nil {
-		return nil, fmt.Errorf("incast: %w", err)
-	}
-	b, err := runIncastOnce()
-	if err != nil {
-		return nil, fmt.Errorf("incast: rerun: %w", err)
+		return nil, err
 	}
 	tab := &Table{
-		ID:     "incast",
-		Title:  "Incast fan-in: 200 synchronized 4KB requests per round onto one server",
-		Header: []string{"metric", "value"},
+		ID:           "incast",
+		Title:        "Incast fan-in: 200 synchronized 4KB requests per round onto one server",
+		Header:       []string{"metric", "value"},
+		EventsPerSec: eps,
 	}
 	tab.AddRow("ops", fmt.Sprintf("%d", a.ops))
 	tab.AddRow("errs", fmt.Sprintf("%d", a.errs))

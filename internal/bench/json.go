@@ -44,8 +44,9 @@ type JSONResult struct {
 	Events    int64        `json:"events,omitempty"`
 	Metrics   *JSONMetrics `json:"metrics,omitempty"`
 	Error     string       `json:"error,omitempty"`
-	// EventsPerSec is the simulator's wall-time speed as measured by
-	// the experiment (zero for experiments that don't measure it).
+	// EventsPerSec is the simulator's speed in events per CPU second as
+	// measured by the experiment (zero for experiments that don't
+	// measure it).
 	// Host-dependent: the bench guard compares it within a ±25% band,
 	// unlike the exact virtual_ns comparison.
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`

@@ -325,18 +325,15 @@ func runRebalanceOnce() (*rebOutcome, error) {
 }
 
 func runRebalance() (*Table, error) {
-	a, err := runRebalanceOnce()
+	a, b, eps, err := runTwice("rebalance", runRebalanceOnce, func(o *rebOutcome) int64 { return o.events })
 	if err != nil {
-		return nil, fmt.Errorf("rebalance: %w", err)
-	}
-	b, err := runRebalanceOnce()
-	if err != nil {
-		return nil, fmt.Errorf("rebalance: rerun: %w", err)
+		return nil, err
 	}
 	tab := &Table{
-		ID:     "rebalance",
-		Title:  "Live rebalancing: greedy move-hottest-shard under a Zipf keyspace, 12 shards over a 16-node pool",
-		Header: []string{"metric", "value"},
+		ID:           "rebalance",
+		Title:        "Live rebalancing: greedy move-hottest-shard under a Zipf keyspace, 12 shards over a 16-node pool",
+		Header:       []string{"metric", "value"},
+		EventsPerSec: eps,
 	}
 	tab.AddRow("ops", fmt.Sprintf("%d", a.ops))
 	tab.AddRow("errs", fmt.Sprintf("%d", a.errs))

@@ -59,19 +59,12 @@ type Cluster struct {
 }
 
 // New builds a cluster of n nodes with memPerNode bytes of physical
-// memory each.
+// memory each, on a fresh simulation environment at virtual time zero.
 func New(cfg *params.Config, n int, memPerNode int64) (*Cluster, error) {
-	return NewOn(simtime.NewEnv(), cfg, n, memPerNode)
-}
-
-// NewOn builds a cluster on a caller-supplied environment. The `scale`
-// benchmark uses it to run one workload under both the calendar-queue
-// and the legacy binary-heap scheduler (simtime.NewLegacyEnv) and
-// compare wall-time throughput; everything else should use New.
-func NewOn(env *simtime.Env, cfg *params.Config, n int, memPerNode int64) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
 	}
+	env := simtime.NewEnv()
 	fab := fabric.New(cfg)
 	c := &Cluster{
 		Env:  env,

@@ -170,20 +170,6 @@ type Options struct {
 	// any pair.
 	MeshPeers func(a, b int) bool
 
-	// CompatBaseline reproduces the host-cost behavior the simulator
-	// had before the 500-node scaling work, for use as a measured
-	// baseline: every completion scans all peers' shared QPs for ones
-	// below the receive low-water mark (instead of visiting only the
-	// QPs whose low-water notification fired), and completion/receive
-	// queues consume by re-slicing their front away (reallocating every
-	// queue lap) instead of the head-indexed ring discipline.
-	// Virtual-time behavior is identical — the same QPs are restocked
-	// and the same completions delivered at the same instants; the
-	// difference is host cost. The scale benchmark uses it to measure
-	// the pre-optimization hot path, and equivalence tests use it to
-	// cross-check the dirty list against the scan.
-	CompatBaseline bool
-
 	// HeartbeatInterval enables failure detection when nonzero: the
 	// cluster manager probes every node with a keepalive RPC at this
 	// period. Zero (the default) disables the detector entirely so
@@ -537,9 +523,6 @@ func Start(cls *cluster.Cluster, opts Options) (*Deployment, error) {
 		}
 		mr.SetOwner("lite/global")
 		inst.globalMR = mr
-		if opts.CompatBaseline {
-			nd.NIC.SetCompatSlidingQueues(true)
-		}
 		inst.sendCQ = nd.NIC.CreateCQ()
 		inst.sendDisp = verbs.NewDispatcher(inst.sendCQ)
 		inst.recvCQ = nd.NIC.CreateCQ()

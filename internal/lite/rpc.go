@@ -1404,16 +1404,6 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 // O(QPs below low water) — at 500 nodes a full scan of every peer's
 // QPs on each completion was the dominant per-event cost.
 func (i *Instance) topUpRecvs(p *simtime.Proc) {
-	if i.opts.CompatBaseline {
-		// Baseline hot path: scan every peer's QPs on each completion.
-		i.lowRecv = i.lowRecv[:0]
-		for _, qs := range i.qps {
-			for _, qp := range qs {
-				i.restockQP(p, qp)
-			}
-		}
-		return
-	}
 	if len(i.lowRecv) == 0 {
 		return
 	}

@@ -89,11 +89,6 @@ type NIC struct {
 	nextCQN  int
 	nextWRID uint64
 
-	// slidingQueues makes subsequently created CQs and QPs consume
-	// entries by re-slicing the front away (q = q[1:]) instead of the
-	// head-indexed ring discipline. See SetCompatSlidingQueues.
-	slidingQueues bool
-
 	// Counters for diagnostics and experiments.
 	OpsPosted   int64
 	OpsDeliverd int64
@@ -206,25 +201,16 @@ func (n *NIC) LookupMR(key uint32) (*MR, bool) {
 	return mr, ok
 }
 
-// SetCompatSlidingQueues controls the queue discipline of CQs and QPs
-// created after the call. When enabled they consume entries by
-// re-slicing the front away (q = q[1:], as the queues worked before
-// the head-indexed rings), so every queue lap reallocates its backing
-// array. Completion order and virtual-time behavior are identical
-// either way — the difference is pure host cost, which is exactly what
-// the scale benchmark's pre-optimization baseline needs to reproduce.
-func (n *NIC) SetCompatSlidingQueues(v bool) { n.slidingQueues = v }
-
 // CreateCQ returns a new completion queue.
 func (n *NIC) CreateCQ() *CQ {
-	cq := &CQ{cqn: n.nextCQN, sliding: n.slidingQueues}
+	cq := &CQ{cqn: n.nextCQN}
 	n.nextCQN++
 	return cq
 }
 
 // CreateQP returns a new queue pair using the given completion queues.
 func (n *NIC) CreateQP(typ QPType, sendCQ, recvCQ *CQ) *QP {
-	qp := &QP{qpn: n.nextQPN, nic: n, typ: typ, sendCQ: sendCQ, recvCQ: recvCQ, sliding: n.slidingQueues}
+	qp := &QP{qpn: n.nextQPN, nic: n, typ: typ, sendCQ: sendCQ, recvCQ: recvCQ}
 	n.nextQPN++
 	n.qps[qp.qpn] = qp
 	return qp

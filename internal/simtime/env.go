@@ -19,11 +19,12 @@
 //
 // # Scheduling
 //
-// Events live in a calendar queue (see calq.go) and are dispatched in
-// strictly nondecreasing (time, sequence) order; two events at the same
-// instant run in the order they were scheduled. That total order is the
-// determinism contract: it is independent of host speed, GOMAXPROCS,
-// and scheduler implementation, so a seeded run replays bit-identically
+// Events live in one queue (see queue.go): a FIFO ring for events at
+// the current instant and a binary min-heap for later ones. They are
+// dispatched in strictly nondecreasing (time, sequence) order; two
+// events at the same instant run in the order they were scheduled.
+// That total order is the determinism contract: it is independent of
+// host speed and GOMAXPROCS, so a seeded run replays bit-identically
 // anywhere.
 //
 // The event loop itself is continuation-stealing: there is no dedicated
@@ -32,9 +33,7 @@
 // the overwhelmingly common case for timer-driven code such as NIC
 // pipeline stages and poller ticks — park returns without touching a
 // channel at all. Waking a different process costs exactly one channel
-// send (the resume handoff), down from the legacy scheduler's two
-// (park-notify plus resume). The legacy binary-heap scheduler is kept
-// in legacy.go as the baseline the `scale` benchmark measures against.
+// send (the resume handoff).
 package simtime
 
 import (
@@ -64,7 +63,7 @@ const (
 type Env struct {
 	now     Time
 	seq     int64
-	q       calq
+	q       queue
 	nextPID int
 	events  int64
 
@@ -72,19 +71,13 @@ type Env struct {
 	// run (buffered so the ender never blocks).
 	doneCh chan error
 
-	// legacy selects the original binary-heap, two-handoff scheduler
-	// (see legacy.go); evq and parkCh are used only in that mode.
-	legacy bool
-	evq    eventHeap
-	parkCh chan struct{}
-
 	live  int // non-daemon procs that have not finished
 	procs map[int]*Proc
 	limit Time // 0 means no limit
 }
 
 // event is a pending wakeup or callback. Events are stored by value
-// inside the calendar queue's buckets, so scheduling allocates nothing
+// inside the queue's ring and heap, so scheduling allocates nothing
 // in steady state.
 type event struct {
 	t      Time
@@ -108,9 +101,9 @@ func (e *Env) Now() Time { return e.now }
 
 // Events returns the number of events dispatched so far: process
 // wakeups delivered plus callbacks run. Stale (superseded) wakeups are
-// not counted. For a given workload the count is deterministic and
-// identical under both schedulers, which makes it the denominator for
-// the events-per-second figure the `scale` benchmark reports.
+// not counted. For a given workload the count is deterministic, which
+// makes it the denominator for the events-per-CPU-second figures the
+// 500-node benchmarks report.
 func (e *Env) Events() int64 { return e.events }
 
 // SetLimit makes Run stop once virtual time reaches t, even if
@@ -187,10 +180,6 @@ func (e *Env) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 		fn(p)
 		p.done = true
 		p.parked = false
-		if e.legacy {
-			e.parkCh <- struct{}{}
-			return
-		}
 		// The finished process is the active goroutine: retire it and
 		// keep driving the event loop until the next handoff.
 		delete(e.procs, p.id)
@@ -210,10 +199,6 @@ func (e *Env) wakeAt(t Time, p *Proc, gen uint64, reason WakeReason) {
 		t = e.now
 	}
 	e.seq++
-	if e.legacy {
-		e.evq.push(&event{t: t, seq: e.seq, p: p, gen: gen, reason: reason})
-		return
-	}
 	e.q.push(e.now, event{t: t, seq: e.seq, p: p, gen: gen, reason: reason})
 }
 
@@ -227,10 +212,6 @@ func (e *Env) At(t Time, fn func(*Env)) {
 		t = e.now
 	}
 	e.seq++
-	if e.legacy {
-		e.evq.push(&event{t: t, seq: e.seq, fn: fn})
-		return
-	}
 	e.q.push(e.now, event{t: t, seq: e.seq, fn: fn})
 }
 
@@ -254,10 +235,6 @@ func (p *Proc) prepareWait() uint64 {
 func (p *Proc) park() WakeReason {
 	e := p.env
 	p.parked = true
-	if e.legacy {
-		e.parkCh <- struct{}{}
-		return <-p.resume
-	}
 	if r, ok := e.sched(p); ok {
 		return r
 	}
@@ -276,7 +253,7 @@ func (e *Env) sched(self *Proc) (WakeReason, bool) {
 			e.doneCh <- nil
 			return 0, false
 		}
-		ev, ok := e.q.pop(e.now)
+		ev, ok := e.q.pop()
 		if !ok {
 			e.doneCh <- e.deadlock()
 			return 0, false
@@ -296,8 +273,7 @@ func (e *Env) sched(self *Proc) (WakeReason, bool) {
 		p := ev.p
 		if ev.gen != p.gen || !p.parked || p.done {
 			// Stale wakeup, superseded by a later prepareWait: skipped
-			// without advancing the clock, exactly like the legacy
-			// scheduler.
+			// without advancing the clock.
 			continue
 		}
 		if e.limit > 0 && ev.t > e.limit {
@@ -355,9 +331,6 @@ func (e *DeadlockError) Error() string {
 // the time limit (if set) is reached, or no progress is possible. It
 // returns a *DeadlockError in the latter case and nil otherwise.
 func (e *Env) Run() error {
-	if e.legacy {
-		return e.runLegacy()
-	}
 	e.sched(nil)
 	return <-e.doneCh
 }

@@ -3,50 +3,134 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 )
 
-// calqRand is a tiny deterministic PRNG so the equivalence workloads
+// testRand is a tiny deterministic PRNG so the randomized workloads
 // replay identically run to run.
-type calqRand uint64
+type testRand uint64
 
-func (x *calqRand) next() uint64 {
+func (x *testRand) next() uint64 {
 	v := uint64(*x)
 	v ^= v << 13
 	v ^= v >> 7
 	v ^= v << 17
-	*x = calqRand(v)
+	*x = testRand(v)
 	return v
 }
 
-// mixedWorkload drives env with a delay mix chosen to land events in
-// every calendar tier — the same-instant run queue (yields), L0 (ns-
-// and µs-scale sleeps), L1 (ms-scale sleeps that cascade on bucket
-// rollover), and the overflow heap (multi-second timers beyond the
-// ~4.3 s L1 horizon) — plus cross-proc signals and scheduler
-// callbacks. It returns the full dispatch trace.
+// TestQueueMatchesSortedOracle pushes a seeded mix of events through
+// the queue, popping as it goes the way the scheduler does (the clock
+// follows each popped event), and requires the pop order to equal a
+// sort of every pushed event on (t, seq). The mix covers same-instant
+// events pushed at the current time, ties with events pushed for that
+// instant earlier, near (sub-µs and µs) events, millisecond timers and
+// multi-second timers.
+func TestQueueMatchesSortedOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := testRand(seed*0x9e3779b97f4a7c15 | 1)
+		var q queue
+		var now Time
+		var seq int64
+		var pushed, popped []event
+		// future holds instants already scheduled ahead of the clock,
+		// so later pushes (and run-queue pushes once the clock gets
+		// there) can tie with them.
+		var future []Time
+		earlyAt := make(map[Time]bool) // instants pushed ahead of the clock
+		ties := 0                      // run-queue pushes tying such an instant
+		push := func(at Time) {
+			seq++
+			ev := event{t: at, seq: seq}
+			if at == now {
+				if earlyAt[at] {
+					ties++
+				}
+			} else {
+				earlyAt[at] = true
+				future = append(future, at)
+			}
+			q.push(now, ev)
+			pushed = append(pushed, ev)
+		}
+		pop := func() bool {
+			ev, ok := q.pop()
+			if ok {
+				now = ev.t
+				popped = append(popped, ev)
+			}
+			return ok
+		}
+		for step := 0; step < 4000; step++ {
+			switch rng.next() % 10 {
+			case 0, 1:
+				push(now)
+			case 2:
+				push(now + Time(rng.next()%300))
+			case 3:
+				push(now + Time(rng.next()%100_000))
+			case 4:
+				push(now + Time(2_000_000+rng.next()%20_000_000))
+			case 5:
+				push(now + Time(1+rng.next()%5)*time.Second + Time(rng.next()%1_000))
+			case 6:
+				if len(future) > 0 {
+					if at := future[rng.next()%uint64(len(future))]; at >= now {
+						push(at)
+					}
+				}
+			default:
+				pop()
+			}
+		}
+		for pop() {
+		}
+		want := append([]event(nil), pushed...)
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].t < want[j].t || want[i].t == want[j].t && want[i].seq < want[j].seq
+		})
+		if len(popped) != len(want) {
+			t.Fatalf("seed %d: popped %d events, pushed %d", seed, len(popped), len(want))
+		}
+		for i := range want {
+			if popped[i].t != want[i].t || popped[i].seq != want[i].seq {
+				t.Fatalf("seed %d: pop %d = (t=%d seq=%d), want (t=%d seq=%d)",
+					seed, i, popped[i].t, popped[i].seq, want[i].t, want[i].seq)
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("seed %d: mix produced no same-instant tie between the run queue and the heap", seed)
+		}
+	}
+}
+
+// mixedWorkload drives env with a mixed delay distribution — yields,
+// ns- and µs-scale sleeps, ms-scale sleeps, multi-second timers —
+// plus cross-proc signals, wait timeouts and scheduler callbacks. It
+// returns the full dispatch trace.
 func mixedWorkload(env *Env, procs, steps int) ([]string, error) {
 	var trace []string
 	var wake Cond
 	for pi := 0; pi < procs; pi++ {
 		pi := pi
 		env.Go(fmt.Sprintf("w%d", pi), func(p *Proc) {
-			rng := calqRand(pi*2654435761 + 1)
+			rng := testRand(pi*2654435761 + 1)
 			for k := 0; k < steps; k++ {
 				trace = append(trace, fmt.Sprintf("%d p%d.%d", p.Now(), pi, k))
 				switch rng.next() % 8 {
 				case 0:
 					p.Yield()
 				case 1:
-					p.Sleep(Time(rng.next() % 300)) // same L0 bucket or next
+					p.Sleep(Time(rng.next() % 300))
 				case 2:
-					p.Sleep(Time(rng.next() % 100_000)) // within the L0 lap
+					p.Sleep(Time(rng.next() % 100_000))
 				case 3:
-					p.Sleep(Time(2_000_000 + rng.next()%20_000_000)) // L1, cascades
+					p.Sleep(Time(2_000_000 + rng.next()%20_000_000))
 				case 4:
-					p.Sleep(Time(4_500_000_000 + rng.next()%3_000_000_000)) // overflow
+					p.Sleep(Time(4_500_000_000 + rng.next()%3_000_000_000))
 				case 5:
 					t := p.Now() + Time(rng.next()%5_000)
 					p.Env().At(t, func(e *Env) {
@@ -69,33 +153,41 @@ func mixedWorkload(env *Env, procs, steps int) ([]string, error) {
 	return trace, err
 }
 
-// TestSchedulerEquivalence replays one randomized workload under the
-// calendar-queue scheduler and the legacy binary-heap scheduler and
-// requires bit-identical dispatch traces — the determinism contract
-// that lets every seeded experiment reproduce across scheduler
-// implementations.
-func TestSchedulerEquivalence(t *testing.T) {
-	calTrace, calErr := mixedWorkload(NewEnv(), 24, 40)
-	heapTrace, heapErr := mixedWorkload(NewLegacyEnv(), 24, 40)
-	if (calErr == nil) != (heapErr == nil) {
-		t.Fatalf("run errors diverge: calendar=%v legacy=%v", calErr, heapErr)
+// TestMixedWorkloadReplays runs one randomized multi-process workload
+// twice on fresh environments and requires identical dispatch traces
+// whose timestamps never go backwards.
+func TestMixedWorkloadReplays(t *testing.T) {
+	first, err := mixedWorkload(NewEnv(), 24, 40)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(calTrace) != len(heapTrace) {
-		t.Fatalf("trace lengths diverge: calendar=%d legacy=%d", len(calTrace), len(heapTrace))
+	second, err := mixedWorkload(NewEnv(), 24, 40)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range calTrace {
-		if calTrace[i] != heapTrace[i] {
-			t.Fatalf("traces diverge at step %d: calendar=%q legacy=%q", i, calTrace[i], heapTrace[i])
+	if len(first) < 24*40 {
+		t.Fatalf("workload too small to be meaningful: %d trace entries", len(first))
+	}
+	if len(first) != len(second) {
+		t.Fatalf("trace lengths diverge: %d vs %d", len(first), len(second))
+	}
+	var last int64
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("traces diverge at step %d: %q vs %q", i, first[i], second[i])
 		}
-	}
-	if len(calTrace) < 24*40 {
-		t.Fatalf("workload too small to be meaningful: %d trace entries", len(calTrace))
+		var at int64
+		fmt.Sscan(first[i], &at)
+		if at < last {
+			t.Fatalf("time went backwards at step %d: %q after %d", i, first[i], last)
+		}
+		last = at
 	}
 }
 
 // TestSameInstantSeqOrder pins the tie-break rule: events scheduled for
 // the same instant dispatch in scheduling (seq) order, whether they
-// sit in the run queue or in the L0 bucket the clock is entering.
+// sit in the run queue or in the heap the clock is entering from.
 func TestSameInstantSeqOrder(t *testing.T) {
 	env := NewEnv()
 	var got []int
@@ -105,7 +197,7 @@ func TestSameInstantSeqOrder(t *testing.T) {
 		env.At(at, func(*Env) { got = append(got, i) })
 	}
 	// A second instant reached via a timer wake, mixing run-queue
-	// entries (scheduled at now) with wheel entries (scheduled before).
+	// entries (scheduled at now) with heap entries (scheduled before).
 	const at2 = at + 500
 	env.At(at2, func(e *Env) { got = append(got, 100) })
 	env.At(at, func(e *Env) {
@@ -130,10 +222,9 @@ func TestSameInstantSeqOrder(t *testing.T) {
 	}
 }
 
-// TestFarFutureOverflow exercises the overflow heap: timers far beyond
-// the ~4.3 s L1 horizon must still fire in (t, seq) order, including
-// when nearer timers are inserted after them (the drain-on-advance
-// invariant).
+// TestFarFutureOverflow checks that timers tens of seconds out fire in
+// (t, seq) order, including when nearer timers are inserted after
+// them.
 func TestFarFutureOverflow(t *testing.T) {
 	env := NewEnv()
 	var got []Time
@@ -148,8 +239,8 @@ func TestFarFutureOverflow(t *testing.T) {
 		at := at
 		env.At(at, func(e *Env) {
 			got = append(got, e.Now())
-			// Schedule a nearer event from inside a drained overflow
-			// event; it must still sort correctly.
+			// Schedule a nearer event from inside a far-future event;
+			// it must still sort correctly.
 			e.After(time.Millisecond, func(e *Env) { got = append(got, e.Now()) })
 		})
 	}
@@ -173,14 +264,12 @@ func TestFarFutureOverflow(t *testing.T) {
 	}
 }
 
-// TestBucketRollover exercises L1 cascade: a sleep past the ~1.05 ms
-// L0 lap lands in L1 and must cascade into L0 (sorted) when the clock
-// reaches its bucket, interleaving correctly with L0-native timers.
-func TestBucketRollover(t *testing.T) {
+// TestDenseTimersInOrder schedules one callback every 100 µs across
+// 40 ms, all up front, and requires them to fire in strictly
+// increasing time with an exact event count.
+func TestDenseTimersInOrder(t *testing.T) {
 	env := NewEnv()
 	var got []Time
-	// One event per 100 µs across 40 ms: every L1 bucket boundary in
-	// range is crossed, and each cascade must preserve order.
 	for i := 1; i <= 400; i++ {
 		env.At(Time(i)*100*time.Microsecond, func(e *Env) { got = append(got, e.Now()) })
 	}
@@ -203,25 +292,21 @@ func TestBucketRollover(t *testing.T) {
 }
 
 // TestDeadlockReported checks that a stuck simulation names the parked
-// processes instead of hanging, under both schedulers.
+// processes instead of hanging.
 func TestDeadlockReported(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		env  *Env
-	}{{"calendar", NewEnv()}, {"legacy", NewLegacyEnv()}} {
-		var c Cond
-		mk.env.Go("stuck", func(p *Proc) { c.Wait(p) })
-		err := mk.env.Run()
-		var dl *DeadlockError
-		if !errors.As(err, &dl) {
-			t.Fatalf("%s: Run() = %v, want DeadlockError", mk.name, err)
-		}
-		if len(dl.Parked) != 1 || dl.Parked[0] != "stuck" {
-			t.Fatalf("%s: parked = %v, want [stuck]", mk.name, dl.Parked)
-		}
-		if !strings.Contains(dl.Error(), "stuck") {
-			t.Fatalf("%s: error text %q does not name the process", mk.name, dl.Error())
-		}
+	env := NewEnv()
+	var c Cond
+	env.Go("stuck", func(p *Proc) { c.Wait(p) })
+	err := env.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want DeadlockError", err)
+	}
+	if len(dl.Parked) != 1 || dl.Parked[0] != "stuck" {
+		t.Fatalf("parked = %v, want [stuck]", dl.Parked)
+	}
+	if !strings.Contains(dl.Error(), "stuck") {
+		t.Fatalf("error text %q does not name the process", dl.Error())
 	}
 }
 
@@ -310,11 +395,11 @@ func TestServerAccessors(t *testing.T) {
 	}
 }
 
-// benchTimerChain measures raw scheduler throughput: one process
+// BenchmarkEnvRun measures raw scheduler throughput: one process
 // sleeping in a tight loop, so every event is a self-wake (the
-// continuation-stealing fast path; under the legacy scheduler, a full
-// two-handoff park/resume).
-func benchTimerChain(b *testing.B, env *Env) {
+// continuation-stealing fast path).
+func BenchmarkEnvRun(b *testing.B) {
+	env := NewEnv()
 	env.Go("timer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(100)
@@ -328,14 +413,12 @@ func benchTimerChain(b *testing.B, env *Env) {
 	b.ReportMetric(float64(env.Events())/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkEnvRun(b *testing.B)       { benchTimerChain(b, NewEnv()) }
-func BenchmarkEnvRunLegacy(b *testing.B) { benchTimerChain(b, NewLegacyEnv()) }
-
-// benchWakeStorm measures cross-proc wakeups under fan-out: 1024
+// BenchmarkWakeStorm measures cross-proc wakeups under fan-out: 1024
 // processes all sleeping to the same instants, so every round is a
-// thundering herd through the same calendar bucket.
-func benchWakeStorm(b *testing.B, env *Env) {
+// thundering herd through the same heap instant.
+func BenchmarkWakeStorm(b *testing.B) {
 	const procs = 1024
+	env := NewEnv()
 	for pi := 0; pi < procs; pi++ {
 		env.Go(fmt.Sprintf("w%d", pi), func(p *Proc) {
 			for i := 0; i < b.N; i++ {
@@ -350,6 +433,3 @@ func benchWakeStorm(b *testing.B, env *Env) {
 	}
 	b.ReportMetric(float64(env.Events())/b.Elapsed().Seconds(), "events/s")
 }
-
-func BenchmarkWakeStorm(b *testing.B)       { benchWakeStorm(b, NewEnv()) }
-func BenchmarkWakeStormLegacy(b *testing.B) { benchWakeStorm(b, NewLegacyEnv()) }
