@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"lite/internal/bench"
@@ -79,9 +80,14 @@ func main() {
 			printMetrics(tab.Metrics)
 		}
 		// Virtual time is the measurement (how long the simulated
-		// cluster ran); wall time is merely what the simulation cost.
-		fmt.Printf("[%s simulated %v of virtual time in %v of wall time]\n\n",
+		// cluster ran); wall time and events per CPU second are merely
+		// what the simulation cost.
+		fmt.Printf("[%s simulated %v of virtual time in %v of wall time",
 			id, tab.Virtual, wall.Round(time.Millisecond))
+		if tab.EventsPerSec > 0 {
+			fmt.Printf(", %.0f events per CPU second", tab.EventsPerSec)
+		}
+		fmt.Print("]\n\n")
 	}
 	if *jsonPath != "" {
 		if err := bench.WriteJSON(*jsonPath, results); err != nil {
@@ -94,12 +100,6 @@ func main() {
 	}
 }
 
-// compareTolerance is the allowed relative drift between a committed
-// virtual-time figure and a fresh run. The simulation is deterministic
-// so matching runs agree exactly; the slack only keeps the guard from
-// flagging a deliberate sub-percent calibration tweak as a regression.
-const compareTolerance = 0.01
-
 // compareEPSBand is the allowed relative deviation for the recorded
 // events/sec figures, the only host-dependent numbers in the feed.
 // The band is generous because the figure moves with the recording
@@ -108,11 +108,14 @@ const compareTolerance = 0.01
 const compareEPSBand = 0.25
 
 // compareReport re-runs every experiment recorded in the committed
-// report and compares the virtual durations — the bench guard that
-// catches accidental performance regressions (or unrecorded
-// improvements) in the simulated timeline. An entry that recorded a
-// failure fails the guard without re-running. Progress goes to out,
-// failures to errOut. Returns a process exit code.
+// report and compares the virtual duration, the event count, the
+// header and every table cell exactly — the bench guard that catches
+// accidental performance regressions (or unrecorded improvements) in
+// the simulated timeline. The simulation is deterministic and the
+// tables carry no host figures, so matching runs agree to the byte.
+// An entry that recorded a failure fails the guard without
+// re-running. Progress goes to out, failures to errOut. Returns a
+// process exit code.
 func compareReport(path string, out, errOut io.Writer) int {
 	rep, err := bench.ReadJSON(path)
 	if err != nil {
@@ -132,20 +135,8 @@ func compareReport(path string, out, errOut io.Writer) int {
 			code = 1
 			continue
 		}
-		got := int64(tab.Virtual)
-		drift := float64(got-r.VirtualNs) / float64(r.VirtualNs)
-		if drift < -compareTolerance || drift > compareTolerance {
-			fmt.Fprintf(errOut, "bench-guard: %s: virtual time drifted %+.2f%%: committed %dns, fresh run %dns (re-run 'make bench-smoke' if the change is intentional)\n",
-				r.ID, drift*100, r.VirtualNs, got)
-			code = 1
-			continue
-		}
-		// The event count is exact by construction (same workload, same
-		// deterministic scheduler), so any difference is a behavioral
-		// change, not noise.
-		if r.Events > 0 && tab.Events != r.Events {
-			fmt.Fprintf(errOut, "bench-guard: %s: event count changed: committed %d, fresh run %d (re-run 'make bench-smoke' if the change is intentional)\n",
-				r.ID, r.Events, tab.Events)
+		if drift := tableDrift(r, tab); drift != "" {
+			fmt.Fprintf(errOut, "bench-guard: %s: %s (re-run 'make bench-smoke' if the change is intentional)\n", r.ID, drift)
 			code = 1
 			continue
 		}
@@ -167,9 +158,32 @@ func compareReport(path string, out, errOut io.Writer) int {
 					r.ID, tab.EventsPerSec, rel, r.EventsPerSec)
 			}
 		}
-		fmt.Fprintf(out, "bench-guard: %-10s ok (%dns, %+.2f%%)\n", r.ID, got, drift*100)
+		fmt.Fprintf(out, "bench-guard: %-10s ok (%dns)\n", r.ID, r.VirtualNs)
 	}
 	return code
+}
+
+// tableDrift describes the first difference between a committed record
+// and a fresh run's table, or returns "" if they match exactly.
+func tableDrift(r bench.JSONResult, tab *bench.Table) string {
+	if got := int64(tab.Virtual); got != r.VirtualNs {
+		return fmt.Sprintf("virtual time drifted: committed %dns, fresh run %dns", r.VirtualNs, got)
+	}
+	if r.Events > 0 && tab.Events != r.Events {
+		return fmt.Sprintf("event count changed: committed %d, fresh run %d", r.Events, tab.Events)
+	}
+	if !slices.Equal(tab.Header, r.Header) {
+		return fmt.Sprintf("header changed: committed %q, fresh run %q", r.Header, tab.Header)
+	}
+	if len(tab.Rows) != len(r.Rows) {
+		return fmt.Sprintf("row count changed: committed %d, fresh run %d", len(r.Rows), len(tab.Rows))
+	}
+	for i, row := range r.Rows {
+		if !slices.Equal(tab.Rows[i], row) {
+			return fmt.Sprintf("row %d changed: committed %q, fresh run %q", i, row, tab.Rows[i])
+		}
+	}
+	return ""
 }
 
 // printMetrics dumps a snapshot as '%'-prefixed lines, so tooling

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,5 +56,25 @@ func TestCompareReportFailsRecordedError(t *testing.T) {
 	}
 	if msg := errOut.String(); !strings.Contains(msg, "lease") || !strings.Contains(msg, "cold connect took 0us") {
 		t.Fatalf("failure message %q does not name the entry and its recorded error", msg)
+	}
+}
+
+// TestCompareReportFailsChangedCell: one changed table cell, with the
+// virtual time and event count still matching, fails the guard and
+// names the row.
+func TestCompareReportFailsChangedCell(t *testing.T) {
+	tab, err := bench.Run("trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(tab.Rows) - 1
+	tab.Rows[last][len(tab.Rows[last])-1] += "0"
+	rec := bench.NewJSONResult("trace", tab, time.Millisecond, nil)
+	var out, errOut bytes.Buffer
+	if code := compareReport(writeFeed(t, rec), &out, &errOut); code == 0 {
+		t.Fatalf("compareReport passed a feed with a changed cell; stdout:\n%s", out.String())
+	}
+	if msg := errOut.String(); !strings.Contains(msg, fmt.Sprintf("row %d changed", last)) {
+		t.Fatalf("failure message %q does not name the changed row", msg)
 	}
 }

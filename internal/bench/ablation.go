@@ -97,7 +97,7 @@ func ablWindow() (*Table, error) {
 func rpcLatencyWithWindow(w time.Duration) (simtime.Time, error) {
 	cfg := params.Default()
 	cfg.AdaptivePollWindow = w
-	return liteRPCLatencyCfg(&cfg, 64)
+	return liteRPCLatency(cfg, 64, true)
 }
 
 func rpcCPUWithWindow(w time.Duration) (simtime.Time, error) {
@@ -123,35 +123,6 @@ func rpcCPUWithWindow(w time.Duration) (simtime.Time, error) {
 		return 0, err
 	}
 	return cls.TotalCPU() / nReq, nil
-}
-
-// liteRPCLatencyCfg is liteRPCLatency with a custom cost model.
-func liteRPCLatencyCfg(cfg *params.Config, replySize int) (simtime.Time, error) {
-	cls, dep, err := newLITECfg(cfg, 2, lite.DefaultOptions())
-	if err != nil {
-		return 0, err
-	}
-	startLITEEcho(cls, dep, 1, 2)
-	var lat simtime.Time
-	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		c := dep.Instance(0).KernelClient()
-		in := rpcInput(8, replySize)
-		const iters = 50
-		if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-			return
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
-				return
-			}
-		}
-		lat = (p.Now() - start) / iters
-	})
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	return lat, nil
 }
 
 func ablChunk() (*Table, error) {

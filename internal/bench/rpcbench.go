@@ -7,6 +7,7 @@ import (
 	"lite/internal/cluster"
 	"lite/internal/lite"
 	"lite/internal/obs"
+	"lite/internal/params"
 	"lite/internal/rpcbase"
 	"lite/internal/simtime"
 	"lite/internal/workload"
@@ -56,29 +57,29 @@ func rpcInput(inputSize, replySize int) []byte {
 }
 
 // liteRPCLatency measures mean LT_RPC latency for 8B input and the
-// given return size.
-func liteRPCLatency(replySize int, kernel bool) (simtime.Time, error) {
-	cls, dep, err := newLITE(2)
+// given return size under the cost model cfg, from a kernel-level or
+// user-level client.
+func liteRPCLatency(cfg params.Config, replySize int, kernel bool) (simtime.Time, error) {
+	cls, dep, err := newLITECfg(&cfg, 2, lite.DefaultOptions())
 	if err != nil {
 		return 0, err
 	}
 	startLITEEcho(cls, dep, 1, 2)
 	var lat simtime.Time
+	var callErr error
 	cls.GoOn(0, "client", func(p *simtime.Proc) {
-		var c *lite.Client
+		c := dep.Instance(0).UserClient()
 		if kernel {
 			c = dep.Instance(0).KernelClient()
-		} else {
-			c = dep.Instance(0).UserClient()
 		}
 		in := rpcInput(8, replySize)
 		const iters = 50
-		if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
+		if _, callErr = c.RPC(p, 1, benchFn, in, int64(replySize)+8); callErr != nil {
 			return
 		}
 		start := p.Now()
 		for i := 0; i < iters; i++ {
-			if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
+			if _, callErr = c.RPC(p, 1, benchFn, in, int64(replySize)+8); callErr != nil {
 				return
 			}
 		}
@@ -87,7 +88,7 @@ func liteRPCLatency(replySize int, kernel bool) (simtime.Time, error) {
 	if err := cls.Run(); err != nil {
 		return 0, err
 	}
-	return lat, nil
+	return lat, callErr
 }
 
 func farmTwoWriteLatency(replySize int) (simtime.Time, error) {
@@ -201,11 +202,11 @@ func fig10() (*Table, error) {
 		Header: []string{"Return (B)", "LITE_RPC (us)", "LITE_RPC KL (us)", "2 Verbs writes (us)", "HERD (us)", "FaSST (us)"},
 	}
 	for _, r := range []int{8, 64, 512, 4096} {
-		user, err := liteRPCLatency(r, false)
+		user, err := liteRPCLatency(params.Default(), r, false)
 		if err != nil {
 			return nil, err
 		}
-		kl, err := liteRPCLatency(r, true)
+		kl, err := liteRPCLatency(params.Default(), r, true)
 		if err != nil {
 			return nil, err
 		}
@@ -227,10 +228,12 @@ func fig10() (*Table, error) {
 	return t, nil
 }
 
-// liteRPCThroughput measures aggregate reply throughput with the given
-// number of client threads.
-func liteRPCThroughput(replySize, clients, opsPerClient int) (simtime.Time, error) {
-	cls, dep, err := newLITE(2)
+// liteRPCThroughput measures the aggregate LT_RPC rate of `clients`
+// threads sending inputSize-byte requests for replySize-byte replies
+// under the given LITE options: the clock starts when every thread has
+// completed a warmup call.
+func liteRPCThroughput(opts lite.Options, inputSize, replySize, clients, opsPerClient int) (simtime.Time, error) {
+	cls, dep, err := newLITEOpts(2, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -252,7 +255,7 @@ func liteRPCThroughput(replySize, clients, opsPerClient int) (simtime.Time, erro
 			}
 			defer markStarted()
 			c := dep.Instance(0).KernelClient()
-			in := rpcInput(8, replySize)
+			in := rpcInput(inputSize, replySize)
 			if _, err := c.RPC(p, 1, benchFn, in, int64(replySize)+8); err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -382,7 +385,7 @@ func fig11() (*Table, error) {
 	for _, r := range []int{64, 512, 1024, 4096} {
 		row := []string{fmt.Sprintf("%d", r)}
 		for _, clients := range []int{1, 16} {
-			el, err := liteRPCThroughput(r, clients, ops)
+			el, err := liteRPCThroughput(lite.DefaultOptions(), 8, r, clients, ops)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,8 @@
 // The scale experiment makes the simulator itself the system under
 // test: a 500-node two-tier Clos cluster with a hub mesh running a
 // kvstore + tenants mix, executed twice as a replay check — reporting
-// virtual-time results plus host bring-up/run wall time, CPU time,
-// and end-to-end events per CPU second.
+// virtual-time results in the table and end-to-end events per CPU
+// second in the table's host field.
 //
 // This file measures the simulator's own host-time throughput (events
 // per CPU second), for scale and for the replayed 500-node storms
@@ -41,17 +41,13 @@ const (
 	scaleMinEvents = 1_000_000
 )
 
-// scaleOutcome is one run of the workload. boot is the host wall time
-// to stand the cluster up (node construction, the QP mesh, control
-// rings, kvstore); run is the host wall time to simulate the workload
-// to completion; cpu is the process CPU time the whole thing consumed.
-// Events per second is end-to-end: bring-up is part of what it costs
-// to complete an experiment.
+// scaleOutcome is one run of the workload. cpu is the process CPU time
+// the whole run consumed, bring-up (node construction, the QP mesh,
+// control rings, kvstore) included: events per second is end-to-end,
+// since bring-up is part of what it costs to complete an experiment.
 type scaleOutcome struct {
 	events  int64
 	virtual simtime.Time
-	boot    time.Duration
-	run     time.Duration
 	cpu     time.Duration
 	ops     int64
 	sheds   int64
@@ -63,7 +59,7 @@ type scaleOutcome struct {
 // experiment costs; unlike wall time they do not inflate while the
 // process sits descheduled behind a noisy host neighbor, which on
 // shared machines is the difference between a reproducible figure and
-// a coin flip. Wall times are still reported per phase for context.
+// a coin flip.
 func (o *scaleOutcome) eventsPerSec() float64 { return eventsPerCPUSec(o.events, o.cpu) }
 
 func eventsPerCPUSec(events int64, cpu time.Duration) float64 {
@@ -116,7 +112,6 @@ func scaleWorkload() (*scaleOutcome, error) {
 	// its outcome is extracted.)
 	runtime.GC()
 	cpuStart := cpuTime()
-	bootStart := time.Now()
 	cfg := params.Default()
 	cfg.ClosLeafNodes = scaleLeafNodes
 	cfg.ClosSpines = scaleSpines
@@ -203,10 +198,7 @@ func scaleWorkload() (*scaleOutcome, error) {
 			}
 		})
 	}
-	out.boot = time.Since(bootStart)
-	start := time.Now()
 	runErr := env.Run()
-	out.run = time.Since(start)
 	out.cpu = cpuTime() - cpuStart
 	out.events = env.Events()
 	out.virtual = env.Now()
@@ -227,8 +219,8 @@ func runScale() (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scale: %w", err)
 	}
-	// Wall jitter on a shared host dwarfs the run's small total, so the
-	// reported host columns are the better of the two runs.
+	// CPU jitter on a shared host dwarfs the run's small total, so the
+	// reported events per CPU second is the better of the two runs.
 	rerun, err := scaleWorkload()
 	if err != nil {
 		return nil, fmt.Errorf("scale: rerun: %w", err)
@@ -239,17 +231,13 @@ func runScale() (*Table, error) {
 	tab := &Table{
 		ID:     "scale",
 		Title:  "500-node Clos cluster: kvstore+tenants mix, simulator host cost",
-		Header: []string{"simulator", "events", "virtual_ms", "ops", "errs", "boot_ms", "run_ms", "cpu_ms", "events_per_sec"},
+		Header: []string{"simulator", "events", "virtual_ms", "ops", "errs"},
 	}
 	tab.AddRow("hub-mesh",
 		fmt.Sprintf("%d", best.events),
 		fmt.Sprintf("%.3f", float64(best.virtual)/1e6),
 		fmt.Sprintf("%d", best.ops),
 		fmt.Sprintf("%d", best.errs),
-		fmt.Sprintf("%.0f", float64(best.boot.Nanoseconds())/1e6),
-		fmt.Sprintf("%.0f", float64(best.run.Nanoseconds())/1e6),
-		fmt.Sprintf("%.0f", float64(best.cpu.Nanoseconds())/1e6),
-		fmt.Sprintf("%.0f", best.eventsPerSec()),
 	)
 	tab.Events = best.events
 	tab.Virtual = best.virtual
@@ -259,7 +247,7 @@ func runScale() (*Table, error) {
 	cfg.ClosSpines = scaleSpines
 	tab.Note("topology: %d nodes over %d leaves x %d spines, %.1fx oversubscribed; hub mesh to manager+%d servers",
 		scaleNodes, scaleNodes/scaleLeafNodes, scaleSpines, cfg.ClosOversubscription(), scaleServers)
-	tab.Note("wall and CPU columns are host-dependent (better of two runs); virtual columns must match exactly")
+	tab.Note("every column is virtual and must match exactly; events per CPU second (host-dependent, better of two runs) is reported outside the table")
 	// Gate failures return the table too, so the failing numbers are
 	// visible in the report next to the error.
 	if best.events != rerun.events || best.virtual != rerun.virtual ||

@@ -4,86 +4,10 @@ import (
 	"fmt"
 
 	"lite/internal/lite"
-	"lite/internal/simtime"
 )
 
 func init() {
 	register("tput", "LT_RPC throughput vs size and threads: fast path vs per-WR posting (Fig 7 shape)", tput)
-}
-
-// perWROptions disables every small-message fast-path lever: payloads
-// always take the DMA read, every post rings its own doorbell
-// (including the 512-buffer receive restocks), and every send is
-// signaled. This is what the stack looked like before the fast path
-// and is the baseline the speedup column measures against.
-func perWROptions() lite.Options {
-	o := lite.DefaultOptions()
-	o.DisableInline = true
-	o.DisableDoorbellBatch = true
-	o.SignalEvery = 1
-	return o
-}
-
-// litePathThroughput measures the aggregate LT_RPC rate of `clients`
-// threads sending inputSize-byte requests (8-byte replies) under the
-// given LITE options, using the same rendezvous discipline as fig11:
-// the clock starts when every thread has completed a warmup call.
-func litePathThroughput(opts lite.Options, inputSize, clients, opsPerClient int) (simtime.Time, error) {
-	const replySize = 8
-	cls, dep, err := newLITEOpts(2, opts)
-	if err != nil {
-		return 0, err
-	}
-	startLITEEcho(cls, dep, 1, clients)
-	var done, started simtime.WaitGroup
-	done.Add(clients)
-	started.Add(clients)
-	var measStart, last simtime.Time
-	var firstErr error
-	for th := 0; th < clients; th++ {
-		cls.GoOn(0, "client", func(p *simtime.Proc) {
-			defer done.Done(p.Env())
-			startedDone := false
-			markStarted := func() {
-				if !startedDone {
-					startedDone = true
-					started.Done(p.Env())
-				}
-			}
-			defer markStarted()
-			c := dep.Instance(0).KernelClient()
-			in := rpcInput(inputSize, replySize)
-			if _, err := c.RPC(p, 1, benchFn, in, replySize+8); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			markStarted()
-			started.Wait(p)
-			if measStart == 0 {
-				measStart = p.Now()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				if _, err := c.RPC(p, 1, benchFn, in, replySize+8); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
-	}
-	if err := cls.Run(); err != nil {
-		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return last - measStart, nil
 }
 
 // tput is the small-message fast-path experiment: multi-thread LT_RPC
@@ -98,14 +22,17 @@ func tput() (*Table, error) {
 	}
 	const ops = 150
 	fast := lite.DefaultOptions()
-	perWR := perWROptions()
+	// Per-WR posting is what the stack looked like before the fast path
+	// and is the baseline the speedup column measures against.
+	perWR := lite.DefaultOptions()
+	perWR.PerWRPosting = true
 	for _, size := range []int{8, 64, 256, 1024, 4096} {
 		for _, clients := range []int{1, 8} {
-			ef, err := litePathThroughput(fast, size, clients, ops)
+			ef, err := liteRPCThroughput(fast, size, 8, clients, ops)
 			if err != nil {
 				return nil, err
 			}
-			ew, err := litePathThroughput(perWR, size, clients, ops)
+			ew, err := liteRPCThroughput(perWR, size, 8, clients, ops)
 			if err != nil {
 				return nil, err
 			}
@@ -115,7 +42,7 @@ func tput() (*Table, error) {
 				fmt.Sprintf("%.2fx", float64(ew)/float64(ef)))
 		}
 	}
-	t.Note("per-WR = DisableInline + DisableDoorbellBatch + SignalEvery=1: every payload takes the DMA read, every post (including 512-buffer recv restocks) rings its own doorbell, every send is signaled")
+	t.Note("per-WR = PerWRPosting: every payload takes the DMA read, every post (including 512-buffer recv restocks) rings its own doorbell, every send is signaled")
 	t.Note("requests <= MaxInline (256B) ride inline in the WQE; the gap narrows at 1KB+ where the payload DMA dominates either way")
 	return t, nil
 }

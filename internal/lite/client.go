@@ -264,11 +264,19 @@ func (c *Client) RegisterRPC(id int) error { return c.inst.RegisterRPC(id) }
 // return the reply (at most maxReply bytes). On the user level only
 // the kernel-entry crossing sits on the critical path (§5.2).
 func (c *Client) RPC(p *simtime.Proc, dst, fn int, input []byte, maxReply int64) ([]byte, error) {
+	return c.RPCT(p, dst, fn, input, maxReply, c.inst.opts.RPCTimeout)
+}
+
+// RPCT is RPC with an explicit reply timeout; zero means wait forever.
+// Long-running application tasks (MapReduce phases, graph supersteps)
+// use it so legitimate long executions are not cut off by the default
+// transport timeout.
+func (c *Client) RPCT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, timeout simtime.Time) ([]byte, error) {
 	reg := c.inst.obsReg()
 	t0 := p.Now()
 	end := c.inst.rootSpan(p, "lite.rpc")
 	c.enter(p)
-	out, err := c.inst.rpcInternalFull(p, dst, fn, input, maxReply, c.pri, c.inst.opts.RPCTimeout, false, nil, c.tenant)
+	out, err := c.inst.call(p, &rpcCall{dst: dst, fn: fn, input: input, maxReply: maxReply, pri: c.pri, timeout: timeout, tenant: c.tenant})
 	end()
 	reg.Add("lite.rpc.calls", 1)
 	if err != nil {

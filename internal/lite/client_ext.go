@@ -2,15 +2,6 @@ package lite
 
 import "lite/internal/simtime"
 
-// RPCT is RPC with an explicit reply timeout; zero means wait forever.
-// Long-running application tasks (MapReduce phases, graph supersteps)
-// use it so legitimate long executions are not cut off by the default
-// transport timeout.
-func (c *Client) RPCT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, timeout simtime.Time) ([]byte, error) {
-	c.enter(p)
-	return c.inst.rpcInternalFull(p, dst, fn, input, maxReply, c.pri, timeout, false, nil, c.tenant)
-}
-
 // RPCRetry is RPC through the bounded retry layer: timeouts are
 // retried with exponential backoff and deterministic jitter, bindings
 // are renegotiated after membership changes, and the call fails fast

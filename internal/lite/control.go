@@ -79,7 +79,7 @@ func errToCst(err error) byte {
 
 // ctl sends a control request and returns the response payload.
 func (i *Instance) ctl(p *simtime.Proc, dst int, req []byte, maxReply int64, pri Priority) ([]byte, error) {
-	out, err := i.rpcInternal(p, dst, funcControl, req, maxReply+1, pri)
+	out, err := i.call(p, &rpcCall{dst: dst, fn: funcControl, input: req, maxReply: maxReply + 1, pri: pri, timeout: i.opts.RPCTimeout})
 	if err != nil {
 		return nil, err
 	}

@@ -56,6 +56,35 @@ func TestMulticastRPCEmptyAndError(t *testing.T) {
 	run(t, cls)
 }
 
+// TestMulticastRPCCarriesTenant: a tenant client's multicast reaches
+// every server, remote or node-local, as that tenant's traffic, so
+// tenant-weighted admission and tenant-keyed handlers see the caller.
+func TestMulticastRPCCarriesTenant(t *testing.T) {
+	const tenant = 7
+	cls, dep := testDep(t, 3)
+	for n := 0; n < 3; n++ {
+		if err := dep.Instance(n).ServeRPC(echoFn, 1, func(p *simtime.Proc, c *Call) []byte {
+			return []byte{byte(c.Tenant)}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var replies [][]byte
+	var err error
+	cls.GoOn(0, "caller", func(p *simtime.Proc) {
+		replies, err = dep.Instance(0).TenantClient(tenant).MulticastRPC(p, []int{0, 1, 2}, echoFn, []byte("mc"), 8)
+	})
+	run(t, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dst, r := range replies {
+		if len(r) != 1 || r[0] != tenant {
+			t.Errorf("server %d saw tenant %v, want %d", dst, r, tenant)
+		}
+	}
+}
+
 // startEchoServerN registers echoFn on one node with one server thread.
 func startEchoServerN(cls interface {
 	GoDaemonOn(int, string, func(*simtime.Proc)) *simtime.Proc

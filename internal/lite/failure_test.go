@@ -7,6 +7,7 @@ import (
 
 	"lite/internal/cluster"
 	"lite/internal/params"
+	"lite/internal/rnic"
 	"lite/internal/simtime"
 )
 
@@ -161,6 +162,62 @@ func TestLateReplyDoesNotCorruptLaterCalls(t *testing.T) {
 		}
 	})
 	run(t, cls)
+}
+
+// TestLateAnswerReleasesQuarantine: whatever answer lands for a call
+// whose waiter already timed out — reply, shed, maybe-executed or
+// moved — it drops the pending entry and lifts the reply buffer's
+// quarantine, since no further write can target that buffer.
+func TestLateAnswerReleasesQuarantine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tag  int
+		n    int64
+	}{
+		{"reply", tagRPCRep, 32},
+		{"shed", tagRPCShed, 8},
+		{"maybe", tagRPCMaybe, 0},
+		{"moved", tagRPCMoved, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cls, dep := testDep(t, 2)
+			inst := dep.Instance(0)
+			cls.GoOn(0, "poller", func(p *simtime.Proc) {
+				tok := inst.token()
+				pa := inst.scratchAlloc(64)
+				inst.pending[tok] = &pendingCall{respPA: pa, dst: 1, abandoned: true}
+				inst.scratch.quarantine(pa, 64, tok, inst.epoch)
+				inst.handleRecvCQE(p, rnic.CQE{HasImm: true, Imm: encodeTokenImm(tc.tag, tok), Len: tc.n, SrcNode: 1})
+				if _, ok := inst.pending[tok]; ok {
+					t.Errorf("pending entry %d survived its late answer", tok)
+				}
+				if len(inst.scratch.quar) != 0 {
+					t.Errorf("quarantine not released: %+v", inst.scratch.quar)
+				}
+			})
+			run(t, cls)
+		})
+	}
+}
+
+// TestReplyClampedToMaxReply: a reply longer than the caller's
+// maxReply is truncated to maxReply bytes, never over-read.
+func TestReplyClampedToMaxReply(t *testing.T) {
+	cls, dep := testDep(t, 2)
+	startEchoServerN(cls, dep, 1)
+	in := bytes.Repeat([]byte{0x5A}, 200)
+	var out []byte
+	var err error
+	cls.GoOn(0, "client", func(p *simtime.Proc) {
+		out, err = dep.Instance(0).KernelClient().RPC(p, 1, echoFn, in, 16)
+	})
+	run(t, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, in[:16]) {
+		t.Fatalf("reply = %d bytes, want the first 16 input bytes", len(out))
+	}
 }
 
 // --- heartbeat membership ---

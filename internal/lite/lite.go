@@ -226,20 +226,12 @@ type Options struct {
 	// default) keeps the PR 4 depth-only behaviour.
 	FairAdmission bool
 
-	// DisableInline turns off in-WQE (inline) payload delivery: every
-	// ring post then pays the NIC's payload DMA-read stage regardless
-	// of size. Used by ablation experiments; off (inline on) is the
-	// production configuration.
-	DisableInline bool
-	// DisableDoorbellBatch turns off single-doorbell list posting:
-	// head updates and receive restocks then ring one doorbell per
-	// work request, the pre-fast-path behaviour.
-	DisableDoorbellBatch bool
-	// SignalEvery is the selective-signaling period on the shared QPs:
-	// every Nth post is signaled (and its completion lazily reclaims
-	// the accumulated send-queue slots); the posts in between produce
-	// no CQE at all. Zero selects the default; 1 signals every post.
-	SignalEvery int
+	// PerWRPosting turns off the small-message fast path, for the
+	// ablation that measures it: payloads never ride inline in the WQE
+	// (every post pays the NIC's payload DMA read), head updates and
+	// receive restocks ring one doorbell per work request, and every
+	// send is signaled. Off is the production configuration.
+	PerWRPosting bool
 
 	// QPLeasePool, when positive, keeps that many pre-established spare
 	// QPs per peer in a kernel connection pool (KRCORE-style): a node
@@ -627,18 +619,15 @@ const defaultSignalEvery = 4
 // execute LITE-internal RPC handlers.
 const systemWorkers = 4
 
-// signalEvery returns the effective selective-signaling period,
-// clamped below qpDepth so a full send queue always has a signaled
-// completion in flight to unblock it.
+// signalEvery returns the selective-signaling period on the shared
+// QPs: every Nth post is signaled (and its completion lazily reclaims
+// the accumulated send-queue slots); the posts in between produce no
+// CQE at all. Per-WR posting signals every post.
 func (i *Instance) signalEvery() int {
-	se := i.opts.SignalEvery
-	if se <= 0 {
-		se = defaultSignalEvery
+	if i.opts.PerWRPosting {
+		return 1
 	}
-	if se >= qpDepth {
-		se = qpDepth - 1
-	}
-	return se
+	return defaultSignalEvery
 }
 
 // qpSigState is the selective-signaling bookkeeping of one shared QP:

@@ -311,7 +311,7 @@ func (i *Instance) sortedBindKeys() []bindKey {
 
 // ctlPing sends one keepalive and returns the peer's membership epoch.
 func (i *Instance) ctlPing(p *simtime.Proc, dst int) (uint64, error) {
-	out, err := i.rpcInternalProbe(p, dst, funcControl, []byte{copPing}, 9, PriHigh, i.opts.HeartbeatTimeout, true)
+	out, err := i.call(p, &rpcCall{dst: dst, fn: funcControl, input: []byte{copPing}, maxReply: 9, pri: PriHigh, timeout: i.opts.HeartbeatTimeout, probe: true})
 	if err != nil {
 		return 0, err
 	}
@@ -341,13 +341,13 @@ func (i *Instance) ctlMembership(p *simtime.Proc, dst int, epoch uint64, dead []
 		binary.LittleEndian.PutUint32(req[off+8:], uint32(mv.dst))
 		off += 12
 	}
-	_, err := i.rpcInternalT(p, dst, funcControl, req, 1, PriHigh, i.opts.HeartbeatTimeout)
+	_, err := i.call(p, &rpcCall{dst: dst, fn: funcControl, input: req, maxReply: 1, pri: PriHigh, timeout: i.opts.HeartbeatTimeout})
 	return err
 }
 
 // ctlJoin announces this node to the manager after a restart.
 func (i *Instance) ctlJoin(p *simtime.Proc) error {
-	_, err := i.rpcInternalT(p, i.opts.ManagerNode, funcControl, []byte{copJoin}, 1, PriHigh, i.opts.RPCTimeout)
+	_, err := i.call(p, &rpcCall{dst: i.opts.ManagerNode, fn: funcControl, input: []byte{copJoin}, maxReply: 1, pri: PriHigh, timeout: i.opts.RPCTimeout})
 	return err
 }
 

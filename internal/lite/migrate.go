@@ -177,7 +177,7 @@ func (i *Instance) Drain(p *simtime.Proc, fn, target int, appState func(q *simti
 	i.moved[migKey{i.node.ID, fn}] = target
 	delete(i.migrating, fn)
 	for _, c := range ms.held {
-		i.queueNotify(p, headUpdate{kind: updMoved, client: c.Src, fn: fn, token: c.token, replyPA: c.replyPA, reply: encodeMovedTo(target)})
+		i.queueNotify(p, headUpdate{tag: tagRPCMoved, client: c.Src, token: c.token, replyPA: c.replyPA, payload: encodeMovedTo(target)})
 	}
 	reg.Add("lite.migrate.committed", 1)
 	reg.Add("lite.migrate.held_bounced", int64(len(ms.held)))

@@ -22,7 +22,7 @@ func (c *Client) MulticastRPC(p *simtime.Proc, dsts []int, fn int, input []byte,
 		k, dst := k, dst
 		c.inst.cls.GoOn(c.inst.node.ID, "lite-mcast", func(q *simtime.Proc) {
 			defer wg.Done(q.Env())
-			replies[k], errs[k] = c.inst.rpcInternal(q, dst, fn, input, maxReply, c.pri)
+			replies[k], errs[k] = c.inst.call(q, &rpcCall{dst: dst, fn: fn, input: input, maxReply: maxReply, pri: c.pri, timeout: c.inst.opts.RPCTimeout, tenant: c.tenant})
 		})
 	}
 	wg.Wait(p)

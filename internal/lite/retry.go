@@ -8,7 +8,7 @@ import (
 )
 
 // RPC retry layer: a bounded-attempt exponential-backoff-with-jitter
-// wrapper over rpcInternalT. The jitter is derived deterministically
+// wrapper over one LT_RPC call. The jitter is derived deterministically
 // from the simulation clock and the call's coordinates — never from
 // wall-clock or a global RNG — so a run with a given fault plan
 // replays bit for bit.
@@ -59,7 +59,7 @@ func (i *Instance) rpcRetryT(p *simtime.Proc, dst, fn int, input []byte, maxRepl
 		}
 		i.pacerWait(p, dst, fn)
 		epochBefore := i.epoch
-		out, err := i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, false, meta, ten)
+		out, err := i.call(p, &rpcCall{dst: dst, fn: fn, input: input, maxReply: maxReply, pri: pri, timeout: timeout, meta: meta, tenant: ten})
 		if err == nil {
 			return out, nil
 		}

@@ -71,13 +71,9 @@ func decodeImm(imm uint32) (tag, fn int, v int64) {
 	return int(imm >> 28), int(imm >> 23 & 0x1f), int64(imm&0x7fffff) * ringAlign
 }
 
-func encodeReplyImm(token uint32) uint32 { return uint32(tagRPCRep)<<28 | token&0x0fffffff }
-
-func encodeShedImm(token uint32) uint32 { return uint32(tagRPCShed)<<28 | token&0x0fffffff }
-
-func encodeMaybeImm(token uint32) uint32 { return uint32(tagRPCMaybe)<<28 | token&0x0fffffff }
-
-func encodeMovedImm(token uint32) uint32 { return uint32(tagRPCMoved)<<28 | token&0x0fffffff }
+// encodeTokenImm builds the IMM of an answer notice: the tag in the
+// top 4 bits, the caller's 28-bit reply token below it.
+func encodeTokenImm(tag int, token uint32) uint32 { return uint32(tag)<<28 | token&0x0fffffff }
 
 // Ring message header layout (all little endian):
 //
@@ -302,29 +298,25 @@ type pendingCall struct {
 	probe bool
 }
 
-// Kinds of notification the background header-update thread posts.
-// All three are small write-imms to the client, so they share the
-// thread's per-client doorbell batching and its ordering guarantee.
-const (
-	updCredit = iota // ring head credit (the original head update)
-	updShed          // admission control: shed notification (+ optional 8-byte Retry-After hint)
-	updReply         // cached-reply replay for a deduplicated retry
-	updMaybe         // dedup ambiguity: retry crossed a server restart
-	updMoved         // migration: function moved, 8-byte new-home payload
-)
-
-// headUpdate is queued to the background header-update thread.
+// headUpdate is one small write-imm to a client: a ring head credit
+// (tag tagHeadUpd) or a token-addressed answer to one call attempt.
+// Answers are a reply (tagRPCRep), an admission shed (tagRPCShed,
+// optionally with an 8-byte Retry-After hint), a restart-ambiguity
+// notice (tagRPCMaybe) or a migration bounce (tagRPCMoved, with the
+// 8-byte new home). Any payload lands at replyPA in the caller's
+// response buffer ahead of the IMM. Queued updates share the
+// background thread's per-client doorbell batching and its ordering
+// guarantee.
 type headUpdate struct {
-	kind   int
+	tag    int
 	client int
-	fn     int
-	delta  int64 // updCredit: bytes consumed
+	fn     int   // credit: the binding's function
+	delta  int64 // credit: bytes consumed
 
-	// updShed / updReply / updMaybe coordinates of the attempt being
-	// answered.
+	// Answer coordinates of the attempt being answered.
 	token   uint32
 	replyPA hostmem.PAddr
-	reply   []byte // updReply: cached output; updShed: 8-byte Retry-After hint
+	payload []byte
 }
 
 // Message is a unidirectional LT_send message.
@@ -521,7 +513,7 @@ func (i *Instance) putFrame(buf []byte) {
 // wantInline reports whether an n-byte payload should ride inline in
 // the WQE (skipping the NIC's payload DMA read).
 func (i *Instance) wantInline(n int64) bool {
-	return !i.opts.DisableInline && n <= int64(i.cfg.MaxInline)
+	return !i.opts.PerWRPosting && n <= int64(i.cfg.MaxInline)
 }
 
 // reapQP frees the send-queue slots of every in-flight signaled batch
@@ -628,15 +620,39 @@ func (i *Instance) postShared(p *simtime.Proc, dst int, pri Priority, wrs []rnic
 	return nil
 }
 
-// postToRing writes a framed message into the binding's ring at the
+// rpcCall is one LT_RPC request as its caller specifies it.
+type rpcCall struct {
+	dst, fn  int
+	input    []byte
+	maxReply int64
+	pri      Priority
+	// timeout bounds the wait for the answer; zero waits forever (locks
+	// and barriers, whose replies are withheld until the event occurs).
+	timeout simtime.Time
+	// probe marks a keepalive: it may target a declared-dead node, since
+	// a successful probe is exactly what revives one.
+	probe bool
+	// meta, when non-nil, identifies this logical call across retry
+	// attempts (client sequence number, ambiguous-attempt count, server
+	// boot stamp); the server's dedup window uses it to suppress
+	// duplicate execution after a lost reply and to detect retries that
+	// crossed its restart.
+	meta *callMeta
+	// tenant is the caller's tenant ID (0 = kernel/untenanted), carried
+	// in the ring header so the server can apply tenant-weighted
+	// admission.
+	tenant uint16
+}
+
+// postToRing writes c's input, framed, into the binding's ring at the
 // server with one unsignaled write-imm (§5.1: the sending state is
-// never polled; reply or timeout detects failure). Frames that fit
-// Params.MaxInline travel inline in the WQE and skip the payload DMA
-// stage.
-func (i *Instance) postToRing(p *simtime.Proc, b *binding, fn int, token uint32, replyPA hostmem.PAddr, input []byte, pri Priority, probe bool, meta *callMeta, ten uint16) error {
+// never polled; reply or timeout detects failure). The answer goes to
+// token at replyPA. Frames that fit Params.MaxInline travel inline in
+// the WQE and skip the payload DMA stage.
+func (i *Instance) postToRing(p *simtime.Proc, b *binding, c *rpcCall, token uint32, replyPA hostmem.PAddr) error {
 	var seq, boot uint64
 	var attempt uint16
-	if meta != nil {
+	if meta := c.meta; meta != nil {
 		if meta.attempt == 0 {
 			// Until an attempt ends ambiguously the logical call is
 			// (re)stamped with the current server incarnation; after
@@ -646,9 +662,9 @@ func (i *Instance) postToRing(p *simtime.Proc, b *binding, fn int, token uint32,
 		}
 		seq, boot, attempt = meta.seq, meta.boot, meta.attempt
 	}
-	need := int64(ringHdr + len(input))
+	need := int64(ringHdr + len(c.input))
 	aligned := (need + ringAlign - 1) &^ (ringAlign - 1)
-	off, err := i.reserveRing(p, b, aligned, probe)
+	off, err := i.reserveRing(p, b, aligned, c.probe)
 	if err != nil {
 		return err
 	}
@@ -657,15 +673,15 @@ func (i *Instance) postToRing(p *simtime.Proc, b *binding, fn int, token uint32,
 	binary.LittleEndian.PutUint32(msg[0:], uint32(need))
 	binary.LittleEndian.PutUint32(msg[4:], token)
 	binary.LittleEndian.PutUint64(msg[8:], uint64(replyPA))
-	binary.LittleEndian.PutUint32(msg[16:], uint32(len(input)))
+	binary.LittleEndian.PutUint32(msg[16:], uint32(len(c.input)))
 	binary.LittleEndian.PutUint64(msg[20:], seq)
 	binary.LittleEndian.PutUint64(msg[28:], boot)
 	binary.LittleEndian.PutUint16(msg[36:], attempt)
-	binary.LittleEndian.PutUint16(msg[38:], ten)
-	copy(msg[ringHdr:], input)
+	binary.LittleEndian.PutUint16(msg[38:], c.tenant)
+	copy(msg[ringHdr:], c.input)
 
-	i.qos.throttle(p, pri, need)
-	err = i.postShared(p, b.dst, pri, []rnic.WR{{
+	i.qos.throttle(p, c.pri, need)
+	err = i.postShared(p, b.dst, c.pri, []rnic.WR{{
 		Kind:      rnic.OpWriteImm,
 		WRID:      i.wrID(),
 		Signaled:  false,
@@ -674,7 +690,7 @@ func (i *Instance) postToRing(p *simtime.Proc, b *binding, fn int, token uint32,
 		Len:       need,
 		RemoteKey: i.dep.Instances[b.dst].globalMR.Key(),
 		RemoteOff: int64(b.ringPA) + off,
-		Imm:       encodeImm(tagRPCReq, fn, off),
+		Imm:       encodeImm(tagRPCReq, c.fn, off),
 		Trace:     procSpan(p),
 	}})
 	// The NIC snapshotted the payload synchronously inside the post, so
@@ -683,35 +699,10 @@ func (i *Instance) postToRing(p *simtime.Proc, b *binding, fn int, token uint32,
 	return err
 }
 
-// rpcInternal implements LT_RPC: write-imm the input into the server's
-// ring, then wait (adaptively) for the reply write-imm that lands
-// directly in this node's response buffer.
-func (i *Instance) rpcInternal(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority) ([]byte, error) {
-	return i.rpcInternalT(p, dst, fn, input, maxReply, pri, i.opts.RPCTimeout)
-}
-
-// rpcInternalT is rpcInternal with an explicit timeout; a zero timeout
-// means wait forever (used by locks and barriers, whose replies are
-// intentionally withheld until the event occurs).
-func (i *Instance) rpcInternalT(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time) ([]byte, error) {
-	return i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, false, nil, 0)
-}
-
-// rpcInternalProbe is rpcInternalT with the probe flag exposed:
-// keepalives may target declared-dead nodes, since a successful probe
-// is exactly what revives one.
-func (i *Instance) rpcInternalProbe(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, probe bool) ([]byte, error) {
-	return i.rpcInternalFull(p, dst, fn, input, maxReply, pri, timeout, probe, nil, 0)
-}
-
-// rpcInternalFull is the complete LT_RPC entry point. meta, when
-// non-nil, identifies this logical call across retry attempts (client
-// sequence number, ambiguous-attempt count, server boot stamp); the
-// server's dedup window uses it to suppress duplicate execution after
-// a lost reply and to detect retries that crossed its restart. ten is
-// the caller's tenant ID (0 = kernel/untenanted), carried in the ring
-// header so the server can apply tenant-weighted admission.
-func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, maxReply int64, pri Priority, timeout simtime.Time, probe bool, meta *callMeta, ten uint16) ([]byte, error) {
+// call implements LT_RPC: write-imm the input into the server's ring,
+// then wait (adaptively) for the answer write-imm that lands directly
+// in this node's response buffer.
+func (i *Instance) call(p *simtime.Proc, c *rpcCall) ([]byte, error) {
 	reg := i.obsReg()
 	parent := procSpan(p)
 	t0 := p.Now()
@@ -720,47 +711,47 @@ func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, m
 	if i.stopped {
 		return nil, ErrNodeDead
 	}
-	if dst == i.node.ID {
-		return i.rpcLocal(p, fn, input, timeout, ten)
+	if c.dst == i.node.ID {
+		return i.rpcLocal(p, c)
 	}
-	b, err := i.getBinding(p, dst, fn, pri)
+	b, err := i.getBinding(p, c.dst, c.fn, c.pri)
 	if err != nil {
 		return nil, err
 	}
 	token := i.token()
-	respPA := i.scratchAlloc(maxReply)
-	pc := &pendingCall{respPA: respPA, dst: dst, probe: probe}
+	respPA := i.scratchAlloc(c.maxReply)
+	pc := &pendingCall{respPA: respPA, dst: c.dst, probe: c.probe}
 	i.pending[token] = pc
 
 	post := reg.StartSpan(p.Now(), "lite.rpc.post", parent)
-	err = i.postToRing(p, b, fn, token, respPA, input, pri, probe, meta, ten)
+	err = i.postToRing(p, b, c, token, respPA)
 	post.Done(p.Now())
 	if err != nil {
 		delete(i.pending, token)
 		return nil, err
 	}
 	var deadline simtime.Time
-	if timeout > 0 {
-		deadline = p.Now() + timeout
+	if c.timeout > 0 {
+		deadline = p.Now() + c.timeout
 	}
 	wait := reg.StartSpan(p.Now(), "lite.rpc.wait", parent)
 	waited := i.adaptiveWait(p, &pc.cond, func() bool { return pc.done }, deadline)
 	wait.Done(p.Now())
 	if !waited {
-		// The server may yet deliver a late reply write-imm into
+		// The server may yet deliver a late answer write-imm into
 		// respPA. Keep the pending entry and quarantine the buffer so
 		// the allocator cannot hand it out on ring wraparound while
-		// that write is in flight; the quarantine lifts when the reply
+		// that write is in flight; the quarantine lifts when the answer
 		// lands or the membership epoch advances past this call.
 		pc.abandoned = true
-		i.scratch.quarantine(respPA, maxReply, token, i.epoch)
+		i.scratch.quarantine(respPA, c.maxReply, token, i.epoch)
 		return nil, ErrTimeout
 	}
 	if pc.err != nil {
 		return nil, pc.err
 	}
-	if pc.respLen > maxReply {
-		pc.respLen = maxReply
+	if pc.respLen > c.maxReply {
+		pc.respLen = c.maxReply
 	}
 	// The NIC wrote the reply directly into this buffer (zero copy at
 	// the client side); materialize it for the caller.
@@ -773,21 +764,18 @@ func (i *Instance) rpcInternalFull(p *simtime.Proc, dst, fn int, input []byte, m
 
 // rpcLocal dispatches an RPC whose server is this node without
 // touching the network.
-func (i *Instance) rpcLocal(p *simtime.Proc, fn int, input []byte, timeout simtime.Time, ten uint16) ([]byte, error) {
-	if i.stopped {
-		return nil, ErrNodeDead
-	}
-	f, ok := i.funcs[fn]
+func (i *Instance) rpcLocal(p *simtime.Proc, c *rpcCall) ([]byte, error) {
+	f, ok := i.funcs[c.fn]
 	if !ok {
 		return nil, ErrNoSuchRPC
 	}
 	pc := &pendingCall{}
-	call := &Call{Func: fn, Src: i.node.ID, Tenant: ten, Input: append([]byte(nil), input...), local: true, pend: pc}
-	i.memcpyCost(p, int64(len(input)))
+	call := &Call{Func: c.fn, Src: i.node.ID, Tenant: c.tenant, Input: append([]byte(nil), c.input...), local: true, pend: pc}
+	i.memcpyCost(p, int64(len(c.input)))
 	i.dispatchCall(f, call)
 	var deadline simtime.Time
-	if timeout > 0 {
-		deadline = p.Now() + timeout
+	if c.timeout > 0 {
+		deadline = p.Now() + c.timeout
 	}
 	if !i.adaptiveWait(p, &pc.cond, func() bool { return pc.done }, deadline) {
 		return nil, ErrTimeout
@@ -887,18 +875,9 @@ func (i *Instance) replyRPCInternal(p *simtime.Proc, c *Call, output []byte, pri
 	}
 	post := reg.StartSpan(p.Now(), "lite.rpc.post", parent)
 	i.qos.throttle(p, pri, int64(len(output)))
-	err := i.postShared(p, c.Src, pri, []rnic.WR{{
-		Kind:      rnic.OpWriteImm,
-		WRID:      i.wrID(),
-		Signaled:  false,
-		Inline:    i.wantInline(int64(len(output))),
-		LocalBuf:  output,
-		Len:       int64(len(output)),
-		RemoteKey: i.dep.Instances[c.Src].globalMR.Key(),
-		RemoteOff: int64(c.replyPA),
-		Imm:       encodeReplyImm(c.token),
-		Trace:     parent,
-	}})
+	wr := i.notifyWR(headUpdate{tag: tagRPCRep, client: c.Src, token: c.token, replyPA: c.replyPA, payload: output})
+	wr.Trace = parent
+	err := i.postShared(p, c.Src, pri, []rnic.WR{wr})
 	post.Done(p.Now())
 	return err
 }
@@ -917,7 +896,7 @@ func (i *Instance) sendInternal(p *simtime.Proc, dst int, data []byte, pri Prior
 	if err != nil {
 		return err
 	}
-	return i.postToRing(p, b, funcMsg, 0, 0, data, pri, false, nil, 0)
+	return i.postToRing(p, b, &rpcCall{dst: dst, fn: funcMsg, input: data, pri: pri}, 0, 0)
 }
 
 // recvInternal implements the receive side of LT_send.
@@ -1015,92 +994,70 @@ func (i *Instance) handleRecvCQE(p *simtime.Proc, cqe rnic.CQE) {
 	switch tag {
 	case tagRPCReq:
 		i.handleRPCReq(p, cqe.SrcNode, fn, v)
-	case tagRPCRep:
-		token := cqe.Imm & 0x0fffffff
-		if pc, ok := i.pending[token]; ok {
-			delete(i.pending, token)
-			if pc.abandoned {
-				// Late reply for a call whose waiter already timed
-				// out: the write has landed, so the quarantined reply
-				// buffer is safe to reuse.
-				i.scratch.release(token)
-				return
-			}
-			pc.respLen = cqe.Len
-			pc.done = true
-			pc.cond.Broadcast(i.cls.Env)
-		}
 	case tagHeadUpd:
 		if b, ok := i.bindings[bindKey{cqe.SrcNode, fn}]; ok {
 			b.head += v
 			b.space.Broadcast(i.cls.Env)
 		}
+	case tagRPCRep, tagRPCShed, tagRPCMaybe, tagRPCMoved:
+		i.completeCall(tag, cqe.Imm&0x0fffffff, cqe.Len)
+	}
+}
+
+// completeCall finishes the pending call an answer notice addresses
+// and maps the notice's tag to the waiter's outcome: a reply of n
+// bytes, an overload shed (with any Retry-After hint), the
+// restart-ambiguity error, or a migration bounce (with the new home).
+func (i *Instance) completeCall(tag int, token uint32, n int64) {
+	pc, ok := i.pending[token]
+	if !ok {
+		return
+	}
+	delete(i.pending, token)
+	if pc.abandoned {
+		// Late answer for a call whose waiter already timed out: its
+		// write has landed and no other will follow, so the
+		// quarantined reply buffer is safe to reuse.
+		i.scratch.release(token)
+		return
+	}
+	switch tag {
+	case tagRPCRep:
+		pc.respLen = n
 	case tagRPCShed:
-		token := cqe.Imm & 0x0fffffff
-		if pc, ok := i.pending[token]; ok {
-			delete(i.pending, token)
-			if pc.abandoned {
-				// The shed notice raced with the waiter's timeout; no
-				// reply will ever land, so free the quarantined buffer.
-				i.scratch.release(token)
-				return
-			}
-			pc.err = ErrOverloaded
-			if cqe.Len >= 8 {
-				// The fair policy shipped a Retry-After hint in the
-				// reply buffer; surface it through the typed error so
-				// the retry layer can honor it.
-				var buf [8]byte
-				if i.node.Mem.Read(pc.respPA, buf[:]) == nil {
-					if h := simtime.Time(binary.LittleEndian.Uint64(buf[:])); h > 0 {
-						pc.err = &OverloadError{RetryAfter: h}
-					}
-				}
-			}
-			pc.done = true
-			pc.cond.Broadcast(i.cls.Env)
+		pc.err = ErrOverloaded
+		// The fair policy may ship a Retry-After hint; the typed error
+		// lets the retry layer honor it.
+		if h, ok := i.answerWord(pc, n); ok && h > 0 {
+			pc.err = &OverloadError{RetryAfter: simtime.Time(h)}
 		}
 	case tagRPCMaybe:
-		token := cqe.Imm & 0x0fffffff
-		if pc, ok := i.pending[token]; ok {
-			delete(i.pending, token)
-			if pc.abandoned {
-				// The ambiguity notice raced with the waiter's timeout;
-				// no reply will ever land, so free the quarantined
-				// buffer.
-				i.scratch.release(token)
-				return
-			}
-			i.obsReg().Add("lite.rpc.maybe_executed", 1)
-			pc.err = ErrMaybeExecuted
-			pc.done = true
-			pc.cond.Broadcast(i.cls.Env)
-		}
+		i.obsReg().Add("lite.rpc.maybe_executed", 1)
+		pc.err = ErrMaybeExecuted
 	case tagRPCMoved:
-		token := cqe.Imm & 0x0fffffff
-		if pc, ok := i.pending[token]; ok {
-			delete(i.pending, token)
-			if pc.abandoned {
-				// The moved notice raced with the waiter's timeout; no
-				// reply will ever land, so free the quarantined buffer.
-				i.scratch.release(token)
-				return
-			}
-			i.obsReg().Add("lite.rpc.moved", 1)
-			pc.err = ErrMoved
-			if cqe.Len >= 8 {
-				// The fence shipped the new home node in the reply
-				// buffer; surface it through the typed error so the
-				// retry layer can re-route without consuming an attempt.
-				var buf [8]byte
-				if i.node.Mem.Read(pc.respPA, buf[:]) == nil {
-					pc.err = &MovedError{To: int(binary.LittleEndian.Uint64(buf[:]))}
-				}
-			}
-			pc.done = true
-			pc.cond.Broadcast(i.cls.Env)
+		i.obsReg().Add("lite.rpc.moved", 1)
+		pc.err = ErrMoved
+		// The new home lets the retry layer re-route without consuming
+		// an attempt.
+		if to, ok := i.answerWord(pc, n); ok {
+			pc.err = &MovedError{To: int(to)}
 		}
 	}
+	pc.done = true
+	pc.cond.Broadcast(i.cls.Env)
+}
+
+// answerWord reads the 8-byte payload of an n-byte shed or moved
+// notice from the call's reply buffer.
+func (i *Instance) answerWord(pc *pendingCall, n int64) (uint64, bool) {
+	if n < 8 {
+		return 0, false
+	}
+	var buf [8]byte
+	if i.node.Mem.Read(pc.respPA, buf[:]) != nil {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(buf[:]), true
 }
 
 // handleRPCReq parses a request frame out of the server-side ring and
@@ -1152,8 +1109,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 		// Checked before the dedup lookup — the windows transferred with
 		// the migration, so any replay must happen at the new home.
 		i.obsReg().Add("lite.rpc.moved_bounce", 1)
-		i.queueHeadUpdate(p, src, fn, delta)
-		i.queueNotify(p, headUpdate{kind: updMoved, client: src, fn: fn, token: token, replyPA: replyPA, reply: encodeMovedTo(to)})
+		i.creditAnswer(p, src, fn, delta, headUpdate{tag: tagRPCMoved, token: token, replyPA: replyPA, payload: encodeMovedTo(to)})
 		return
 	}
 	f, ok := i.funcs[fn]
@@ -1168,12 +1124,12 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 			// frame still consumed ring space, so always credit it; then
 			// either replay the cached reply or redirect the in-flight
 			// call's eventual reply to this newest attempt's coordinates.
-			i.queueHeadUpdate(p, src, fn, delta)
 			if e.done {
 				i.obsReg().Add("lite.rpc.dedup_replay", 1)
-				i.queueNotify(p, headUpdate{kind: updReply, client: src, fn: fn, token: token, replyPA: replyPA, reply: e.reply})
+				i.creditAnswer(p, src, fn, delta, headUpdate{tag: tagRPCRep, token: token, replyPA: replyPA, payload: e.reply})
 			} else {
 				i.obsReg().Add("lite.rpc.dedup_redirect", 1)
+				i.queueHeadUpdate(p, src, fn, delta)
 				e.call.token = token
 				e.call.replyPA = replyPA
 			}
@@ -1187,8 +1143,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 			// unknowable here. Answer with the typed ambiguity notice
 			// instead of silently running the handler a second time.
 			i.obsReg().Add("lite.rpc.dedup_ambiguous", 1)
-			i.queueHeadUpdate(p, src, fn, delta)
-			i.queueNotify(p, headUpdate{kind: updMaybe, client: src, fn: fn, token: token})
+			i.creditAnswer(p, src, fn, delta, headUpdate{tag: tagRPCMaybe, token: token})
 			return
 		}
 	}
@@ -1239,15 +1194,12 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 					// has a landing zone).
 					reg.Add("lite.rpc.shed", 1)
 					reg.Add("lite.rpc.shed_fair", 1)
-					i.queueHeadUpdate(p, src, fn, delta)
-					u := headUpdate{kind: updShed, client: src, fn: fn, token: token}
+					u := headUpdate{tag: tagRPCShed, token: token}
 					if hint > 0 {
-						buf := make([]byte, 8)
-						binary.LittleEndian.PutUint64(buf, uint64(hint))
-						u.reply = buf
+						u.payload = binary.LittleEndian.AppendUint64(nil, uint64(hint))
 						u.replyPA = replyPA
 					}
-					i.queueNotify(p, u)
+					i.creditAnswer(p, src, fn, delta, u)
 					return
 				}
 				call.admCost = cost
@@ -1256,8 +1208,7 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 				// zero-length write-imm, instead of letting it burn a
 				// full RPC timeout against a queue that cannot drain.
 				reg.Add("lite.rpc.shed", 1)
-				i.queueHeadUpdate(p, src, fn, delta)
-				i.queueNotify(p, headUpdate{kind: updShed, client: src, fn: fn, token: token})
+				i.creditAnswer(p, src, fn, delta, headUpdate{tag: tagRPCShed, token: token})
 				return
 			}
 		}
@@ -1278,14 +1229,23 @@ func (i *Instance) handleRPCReq(p *simtime.Proc, src, fn int, off int64) {
 // ring) are split across several updates.
 func (i *Instance) queueHeadUpdate(p *simtime.Proc, client, fn int, delta int64) {
 	for delta > maxImmDelta {
-		i.queueNotify(p, headUpdate{kind: updCredit, client: client, fn: fn, delta: maxImmDelta})
+		i.queueNotify(p, headUpdate{tag: tagHeadUpd, client: client, fn: fn, delta: maxImmDelta})
 		delta -= maxImmDelta
 	}
-	i.queueNotify(p, headUpdate{kind: updCredit, client: client, fn: fn, delta: delta})
+	i.queueNotify(p, headUpdate{tag: tagHeadUpd, client: client, fn: fn, delta: delta})
 }
 
-// queueNotify hands any notification (credit, shed, reply replay) to
-// the background header-update thread.
+// creditAnswer returns a consumed frame's ring credit to the client,
+// then answers the frame's call attempt with ans, a token-addressed
+// notice, from the background thread.
+func (i *Instance) creditAnswer(p *simtime.Proc, client, fn int, delta int64, ans headUpdate) {
+	i.queueHeadUpdate(p, client, fn, delta)
+	ans.client = client
+	i.queueNotify(p, ans)
+}
+
+// queueNotify hands any notification (credit or answer) to the
+// background header-update thread.
 func (i *Instance) queueNotify(p *simtime.Proc, u headUpdate) {
 	if i.stopped {
 		return // crashed mid-consume: the notification dies with the node
@@ -1301,53 +1261,26 @@ func (i *Instance) queueNotify(p *simtime.Proc, u headUpdate) {
 // thread drains into one doorbell-batched burst.
 const headUpdBatchMax = 16
 
-// notifyWR builds the write-imm for one queued notification: a
-// zero-length ring credit, a shed notice (zero-length, or carrying an
-// 8-byte Retry-After hint under the fair policy), a zero-length
-// restart-ambiguity notice, or a cached reply replayed into the
-// retrying attempt's response buffer.
+// notifyWR builds the write-imm for one head update: a zero-length
+// ring credit, or an answer whose payload (possibly empty) lands at
+// the caller's replyPA.
 func (i *Instance) notifyWR(u headUpdate) rnic.WR {
-	wr := rnic.WR{
+	imm := encodeImm(tagHeadUpd, u.fn, u.delta)
+	if u.tag != tagHeadUpd {
+		imm = encodeTokenImm(u.tag, u.token)
+	}
+	n := int64(len(u.payload))
+	return rnic.WR{
 		Kind:      rnic.OpWriteImm,
 		WRID:      i.wrID(),
 		Signaled:  false,
-		Inline:    i.wantInline(0),
-		Len:       0,
+		Inline:    i.wantInline(n),
+		LocalBuf:  u.payload,
+		Len:       n,
 		RemoteKey: i.dep.Instances[u.client].globalMR.Key(),
-		RemoteOff: 0,
+		RemoteOff: int64(u.replyPA),
+		Imm:       imm,
 	}
-	switch u.kind {
-	case updShed:
-		wr.Imm = encodeShedImm(u.token)
-		if len(u.reply) > 0 {
-			// Fair-admission shed with a Retry-After hint: the 8 bytes
-			// land in the call's reply buffer ahead of the IMM.
-			wr.Inline = i.wantInline(int64(len(u.reply)))
-			wr.LocalBuf = u.reply
-			wr.Len = int64(len(u.reply))
-			wr.RemoteOff = int64(u.replyPA)
-		}
-	case updMaybe:
-		wr.Imm = encodeMaybeImm(u.token)
-	case updMoved:
-		// Migration fence notice: the 8-byte new-home payload lands in
-		// the call's reply buffer ahead of the IMM (every reply buffer
-		// owns at least a cache line, so it always has a landing zone).
-		wr.Imm = encodeMovedImm(u.token)
-		wr.Inline = i.wantInline(int64(len(u.reply)))
-		wr.LocalBuf = u.reply
-		wr.Len = int64(len(u.reply))
-		wr.RemoteOff = int64(u.replyPA)
-	case updReply:
-		wr.Inline = i.wantInline(int64(len(u.reply)))
-		wr.LocalBuf = u.reply
-		wr.Len = int64(len(u.reply))
-		wr.RemoteOff = int64(u.replyPA)
-		wr.Imm = encodeReplyImm(u.token)
-	default:
-		wr.Imm = encodeImm(tagHeadUpd, u.fn, u.delta)
-	}
-	return wr
 }
 
 // headUpdateLoop is the background thread that returns ring head
@@ -1362,7 +1295,7 @@ func (i *Instance) headUpdateLoop(p *simtime.Proc) {
 			return
 		}
 		batch := []headUpdate{u}
-		if !i.opts.DisableDoorbellBatch {
+		if !i.opts.PerWRPosting {
 			for len(batch) < headUpdBatchMax {
 				v, ok := i.headUpd.TryRecv(p)
 				if !ok {
@@ -1434,7 +1367,7 @@ func (i *Instance) restockQP(p *simtime.Proc, qp *rnic.QP) {
 	rs := i.recvTmpl[:n]
 	if p == nil {
 		_ = qp.PostRecvList(rs)
-	} else if i.opts.DisableDoorbellBatch {
+	} else if i.opts.PerWRPosting {
 		for _, r := range rs {
 			_ = i.ctx.PostRecv(p, qp, r)
 		}

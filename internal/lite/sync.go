@@ -227,7 +227,7 @@ func (i *Instance) allocLockInternal(p *simtime.Proc, owner int, pri Priority) (
 	if owner == i.node.ID {
 		return i.allocLockLocal(), nil
 	}
-	out, err := i.rpcInternal(p, owner, funcLock, []byte{lopAlloc}, 17, pri)
+	out, err := i.call(p, &rpcCall{dst: owner, fn: funcLock, input: []byte{lopAlloc}, maxReply: 17, pri: pri, timeout: i.opts.RPCTimeout})
 	if err != nil {
 		return Lock{}, err
 	}
@@ -268,7 +268,7 @@ func (i *Instance) lockInternal(p *simtime.Proc, lk Lock, pri Priority) error {
 	binary.LittleEndian.PutUint64(req[1:], lk.ID)
 	// The reply IS the grant; it arrives when the lock is handed over,
 	// so wait without an RPC timeout.
-	_, err = i.rpcInternalT(p, lk.Owner, funcLock, req, 1, pri, 0)
+	_, err = i.call(p, &rpcCall{dst: lk.Owner, fn: funcLock, input: req, maxReply: 1, pri: pri})
 	return err
 }
 
@@ -285,7 +285,7 @@ func (i *Instance) unlockInternal(p *simtime.Proc, lk Lock, pri Priority) error 
 	req := make([]byte, 9)
 	req[0] = lopRelease
 	binary.LittleEndian.PutUint64(req[1:], lk.ID)
-	_, err = i.rpcInternal(p, lk.Owner, funcLock, req, 1, pri)
+	_, err = i.call(p, &rpcCall{dst: lk.Owner, fn: funcLock, input: req, maxReply: 1, pri: pri, timeout: i.opts.RPCTimeout})
 	return err
 }
 
@@ -355,7 +355,7 @@ func (i *Instance) barrierInternal(p *simtime.Proc, id uint64, n int, pri Priori
 	req := make([]byte, 13)
 	binary.LittleEndian.PutUint64(req[0:], id)
 	binary.LittleEndian.PutUint32(req[8:], uint32(n))
-	out, err := i.rpcInternalT(p, i.opts.ManagerNode, funcBarrier, req, 1, pri, 0)
+	out, err := i.call(p, &rpcCall{dst: i.opts.ManagerNode, fn: funcBarrier, input: req, maxReply: 1, pri: pri})
 	if err != nil {
 		return err
 	}
